@@ -74,6 +74,7 @@ from repro.campaign.jobs import (
     expand_campaign,
     failure_record,
 )
+from repro.lti.transfer_function import lfilter
 from repro.obs import record_span, span
 from repro.sfg.plan import compile_plan
 from repro.sfg.serialization import graph_from_dict
@@ -390,6 +391,9 @@ class _Supervisor:
         try:
             while (self.queue or self.active) and not self.degraded:
                 if self.pool is None:
+                    # Forked workers inherit this process's modules: load
+                    # scipy.signal here once, not in each worker of each pool.
+                    lfilter([1.0], [1.0], [0.0])
                     self.pool = ProcessPoolExecutor(max_workers=self.workers)
                 self._submit_ready()
                 if not self.active:

@@ -772,7 +772,7 @@ def main(argv=None) -> int:
             write_metrics(metrics_path, session)
             print(f"wrote {metrics_path}")
         return status
-    except (OSError, ValueError, KeyError) as error:
+    except (OSError, ValueError, KeyError, NotImplementedError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

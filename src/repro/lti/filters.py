@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.fixedpoint.quantizer import Quantizer, RoundingMode
 from repro.fixedpoint.qformat import QFormat
-from repro.lti.transfer_function import TransferFunction
+from repro.lti.transfer_function import TransferFunction, lfilter
 from repro.simkernel.iir import iir_df1_fixed
 
 

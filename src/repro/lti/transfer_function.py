@@ -16,7 +16,13 @@ be assembled from block transfer functions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
+
+
+def lfilter(*args, **kwargs):
+    """``scipy.signal.lfilter``, imported on the first call: only float
+    filtering needs ``scipy.signal``, which takes ~2 s to import."""
+    from scipy.signal import lfilter
+    return lfilter(*args, **kwargs)
 
 
 class TransferFunction:

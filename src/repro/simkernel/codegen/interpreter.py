@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.fixedpoint.quantizer import RoundingMode, apply_rounding
 from repro.lti.filters import _causal_fir
 from repro.lti.multirate import downsample, upsample
+from repro.lti.transfer_function import lfilter
 from repro.simkernel.codegen.lowering import (
     OP_ADD,
     OP_COPY,

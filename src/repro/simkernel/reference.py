@@ -14,9 +14,9 @@ speedup of the optimized engine against an honest baseline.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.fixedpoint.quantizer import RoundingMode, round_half_away
+from repro.lti.transfer_function import lfilter
 
 
 def causal_fir_reference(x: np.ndarray, taps: np.ndarray) -> np.ndarray:

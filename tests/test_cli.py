@@ -13,10 +13,14 @@ codes) instead.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.sfg.serialization import save_graph
 from repro.systems.filter_bank import build_filter_graph, generate_iir_bank
@@ -201,6 +205,24 @@ class TestErrorPaths:
         code = main(["bench", "--tags", "no-such-tag"])
         assert code == 1
         assert "no registered benchmark" in capsys.readouterr().err
+
+    def test_unsupported_method_is_one_error_line(self, tmp_path):
+        # psd_tracked rejects multirate graphs with NotImplementedError;
+        # the real entry point must turn it into exit 1 and one line.
+        from repro.campaign.registry import build_scenario
+
+        path = tmp_path / "decimator.json"
+        save_graph(build_scenario("polyphase_decimator").graph, path)
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        process = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "evaluate", str(path),
+             "--method", "psd_tracked"],
+            capture_output=True, text=True, env=env)
+        assert process.returncode == 1
+        assert "Traceback" not in process.stderr
+        lines = process.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
     def test_fuzz_rejects_non_positive_count(self, capsys):
         code = main(["fuzz", "--count", "0"])
