@@ -17,9 +17,10 @@ ablation-scalability workloads (:mod:`repro.systems.families`):
   --check`` gates in CI via the registered ``incremental_reeval`` bench);
 * the **chain** — the worst case (an edit's cone is every downstream
   block), reported for scale but not floored;
-* the **optimizer end to end** — ``WordLengthOptimizer`` in incremental
-  vs sequential mode on a reduced bank: identical assignment and noise
-  power, with the work split (``full_walks`` vs ``cone_recomputes``)
+* the **optimizer end to end** — ``WordLengthOptimizer`` against itself
+  under :func:`memoization_disabled` on a reduced bank: identical
+  assignment and noise power, with the memo's work split
+  (``plan_memo(...).counters()``: full walks vs cone recomputes)
   recorded in the payload.
 
 Every timed comparison asserts the per-candidate noise powers are
@@ -106,19 +107,19 @@ def test_incremental_reeval_speedup(benchmark, bench_config, results_dir):
                                             repeat)
     chain_speedup = chain_cold / chain_warm
 
-    # --- optimizer end to end: incremental vs sequential mode ------------
+    # --- optimizer end to end: memoized vs memo-blind -------------------
+    budget = float(evaluate_psd(build_scalability_bank(branches=16),
+                                n_psd).total_power) * 4.0
     small = build_scalability_bank(branches=16)
-    budget = float(evaluate_psd(small, n_psd).total_power) * 4.0
-    incremental = WordLengthOptimizer(small, n_psd=n_psd,
-                                      mode="incremental").optimize(budget)
-    sequential = WordLengthOptimizer(small, n_psd=n_psd,
-                                     mode="sequential").optimize(budget)
-    assert incremental.assignment == sequential.assignment
-    assert incremental.noise_power == sequential.noise_power
-    assert incremental.evaluations == sequential.evaluations
-    assert incremental.cone_recomputes > 0
-    assert incremental.full_walks < incremental.evaluations
-    assert sequential.cone_recomputes == 0
+    result = WordLengthOptimizer(small, n_psd=n_psd).optimize(budget)
+    optimizer_memo = plan_memo(small).counters()
+    with memoization_disabled():
+        cold = WordLengthOptimizer(build_scalability_bank(branches=16),
+                                   n_psd=n_psd).optimize(budget)
+    assert result.assignment == cold.assignment
+    assert result.noise_power == cold.noise_power
+    assert result.evaluations == cold.evaluations
+    assert optimizer_memo["cone_recomputes"] > 0
 
     # --- report and payload ----------------------------------------------
     counters = plan_memo(bank_plan).counters()
@@ -138,11 +139,12 @@ def test_incremental_reeval_speedup(benchmark, bench_config, results_dir):
                   round(chain_speedup, 1))
     optimizer_lines = [
         f"optimizer on scalability-bank-16 (budget {budget:.3e}): "
-        f"{incremental.evaluations} evaluations in both modes, identical "
-        "assignment and noise power",
-        f"  incremental mode: {incremental.full_walks} full walks + "
-        f"{incremental.cone_recomputes} cone recomputes",
-        f"  sequential mode:  {sequential.full_walks} full walks",
+        f"{result.evaluations} evaluations, identical assignment and "
+        "noise power with the memo disabled",
+        f"  memo: {optimizer_memo['full_walks']} full walks + "
+        f"{optimizer_memo['cone_recomputes']} cone recomputes "
+        f"({optimizer_memo['steps_recomputed']} steps recomputed, "
+        f"{optimizer_memo['steps_reused']} reused)",
     ]
     write_report(results_dir, "incremental_reeval.txt",
                  table.render() + "\n\n" + "\n".join(optimizer_lines))
@@ -152,9 +154,10 @@ def test_incremental_reeval_speedup(benchmark, bench_config, results_dir):
                           "candidates": candidates, "n_psd": n_psd,
                           "steps_recomputed": counters["steps_recomputed"],
                           "steps_reused": counters["steps_reused"],
-                          "optimizer_full_walks": incremental.full_walks,
+                          "optimizer_full_walks":
+                          optimizer_memo["full_walks"],
                           "optimizer_cone_recomputes":
-                          incremental.cone_recomputes},
+                          optimizer_memo["cone_recomputes"]},
                 seconds={"bank_full_walks": bank_cold,
                          "bank_dirty_cones": bank_warm,
                          "chain_full_walks": chain_cold,

@@ -103,7 +103,8 @@ def memoization_disabled():
 
     Used by the honest baselines: the differential ``incremental`` check's
     reference side, the timing harnesses that must not measure cache hits,
-    and the optimizer's ``sequential`` mode.  Results are bit-identical
+    and the cold per-candidate oracle the word-length optimizer is tested
+    against.  Results are bit-identical
     either way; only the amount of recomputation differs.
     """
     _MEMO_STATE.append(False)

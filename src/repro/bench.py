@@ -283,8 +283,8 @@ def bench_incremental_reeval(samples: int | None = None, branches: int = 64,
                              seed: int = 7) -> dict:
     """Single-node requantize edits on the wide scalability bank.
 
-    Replays the word-length optimizer's greedy candidate loop — one
-    single-node edit, one evaluation — twice on the same edit sequence:
+    Replays a per-candidate greedy loop — one single-node edit, one
+    evaluation — twice on the same edit sequence:
     once as cold full walks (memoization disabled, the pre-memo cost) and
     once as memoized dirty-cone pulls, asserting the per-candidate noise
     powers are bitwise identical before reporting the speedup.

@@ -41,8 +41,13 @@ from repro.sfg.nodes import (
 )
 from repro.sfg.graph import Edge, SignalFlowGraph, is_multirate
 from repro.sfg.cycles import break_feedback_loops, find_cycles
-from repro.sfg.plan import CompiledPlan, PlanStep, compile_plan
-from repro.sfg.executor import ExecutionResult, SfgExecutor
+from repro.sfg.plan import (
+    CompiledPlan,
+    ExecutionResult,
+    PlanStep,
+    compile_plan,
+)
+from repro.sfg.executor import SfgExecutor
 from repro.sfg.builder import SfgBuilder
 from repro.sfg.serialization import (
     assignment_fingerprint,

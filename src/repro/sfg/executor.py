@@ -24,46 +24,10 @@ plan can be lowered, with bitwise-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.sfg.graph import SignalFlowGraph
-from repro.sfg.plan import CompiledPlan, compile_plan
-
-
-@dataclass
-class ExecutionResult:
-    """Signals produced by one execution of a graph.
-
-    Attributes
-    ----------
-    outputs:
-        Mapping from output-node name to its signal.
-    signals:
-        Mapping from every node name to its output signal (only populated
-        when the executor is asked to keep intermediate signals).
-    """
-
-    outputs: dict[str, np.ndarray]
-    signals: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def output(self, name: str | None = None) -> np.ndarray:
-        """Return a single output signal.
-
-        Parameters
-        ----------
-        name:
-            Output-node name; may be omitted when the graph has exactly
-            one output.
-        """
-        if name is None:
-            if len(self.outputs) != 1:
-                raise ValueError(
-                    "graph has several outputs; specify which one to read "
-                    f"among {sorted(self.outputs)}")
-            return next(iter(self.outputs.values()))
-        return self.outputs[name]
+from repro.sfg.plan import CompiledPlan, ExecutionResult, compile_plan
 
 
 class SfgExecutor:

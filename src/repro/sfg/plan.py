@@ -46,6 +46,7 @@ analytical walks (``evaluate_*_batch``) consume.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,6 +181,40 @@ class PlanStep:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PlanStep({self.index}, {self.name!r})"
+
+
+@dataclass
+class ExecutionResult:
+    """Signals produced by one execution of a graph.
+
+    Attributes
+    ----------
+    outputs:
+        Mapping from output-node name to its signal.
+    signals:
+        Mapping from every node name to its output signal (only populated
+        when the executor is asked to keep intermediate signals).
+    """
+
+    outputs: dict[str, np.ndarray]
+    signals: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def output(self, name: str | None = None) -> np.ndarray:
+        """Return a single output signal.
+
+        Parameters
+        ----------
+        name:
+            Output-node name; may be omitted when the graph has exactly
+            one output.
+        """
+        if name is None:
+            if len(self.outputs) != 1:
+                raise ValueError(
+                    "graph has several outputs; specify which one to read "
+                    f"among {sorted(self.outputs)}")
+            return next(iter(self.outputs.values()))
+        return self.outputs[name]
 
 
 class CompiledPlan:
@@ -795,15 +830,13 @@ class CompiledPlan:
         return self._tape
 
     def run(self, inputs: dict, mode: str = "double",
-            keep_signals: bool = False):
+            keep_signals: bool = False) -> ExecutionResult:
         """Execute the schedule on one stimulus (1-D) or a batch (2-D).
 
         Parameters mirror :meth:`repro.sfg.executor.SfgExecutor.run`; a
         2-D stimulus of shape ``(trials, samples)`` runs all trials in one
         vectorized pass.
         """
-        from repro.sfg.executor import ExecutionResult
-
         if mode not in ("double", "fixed"):
             raise ValueError(f"unknown execution mode {mode!r}")
         # Pick up quantization-spec mutations made since the last run (a
@@ -844,7 +877,8 @@ class CompiledPlan:
             if keep_signals else {},
         )
 
-    def run_pair(self, inputs: dict, keep_signals: bool = False):
+    def run_pair(self, inputs: dict, keep_signals: bool = False
+                 ) -> tuple[ExecutionResult, ExecutionResult]:
         """Execute both precision modes in a single traversal.
 
         Returns ``(reference, fixed)`` :class:`ExecutionResult` objects.
@@ -852,8 +886,6 @@ class CompiledPlan:
         evaluates its double-precision and bit-true behaviour side by side,
         which is what the simulation-based error measurement needs.
         """
-        from repro.sfg.executor import ExecutionResult
-
         self.refresh()
         stimulus = dict(zip(self.input_names, self._stimulus_slots(inputs)))
         reference: list = [None] * len(self.steps)

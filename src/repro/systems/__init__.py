@@ -9,7 +9,7 @@
   decoder of Fig. 3.
 * :mod:`~repro.systems.wordlength` — the word-length refinement use-case
   motivating the whole study (greedy optimization driven by any of the
-  accuracy evaluators, with configuration-batched candidate rounds).
+  accuracy evaluators, one configuration-batched pass per greedy round).
 * :mod:`~repro.systems.pareto` — noise-budget sweeps turning the optimizer
   into a cost-vs-noise Pareto front (optionally cross-validated by
   simulation).
@@ -46,7 +46,11 @@ from repro.systems.families import (
     build_scalability_chain,
 )
 from repro.systems.random_graphs import build_random_graph, random_assignments
-from repro.systems.wordlength import WordLengthOptimizer, WordLengthResult
+from repro.systems.wordlength import (
+    BudgetUnreachableError,
+    WordLengthOptimizer,
+    WordLengthResult,
+)
 from repro.systems.pareto import (
     ParetoFront,
     ParetoPoint,
@@ -75,6 +79,7 @@ __all__ = [
     "build_scalability_chain",
     "build_random_graph",
     "random_assignments",
+    "BudgetUnreachableError",
     "WordLengthOptimizer",
     "WordLengthResult",
     "ParetoFront",

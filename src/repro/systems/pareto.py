@@ -1,14 +1,14 @@
-"""Cost-vs-noise Pareto exploration built on the batched optimizer.
+"""Cost-vs-noise Pareto exploration built on the word-length optimizer.
 
 The paper's motivation for fast accuracy evaluation is the word-length
 *design space*: a designer does not want the optimum for one noise budget
 but the whole cost-versus-accuracy trade-off curve.  This module sweeps a
 range of noise budgets through :class:`~repro.systems.wordlength.
 WordLengthOptimizer` — one compiled plan, one frequency-response cache and
-one per-plan noise memo shared across the entire sweep, so consecutive
-budgets re-evaluate only the dirty cones of the nodes the greedy search
-actually moves — and collects the resulting ``(total bits, noise power)``
-points into a Pareto front.
+one per-plan noise memo shared across the entire sweep, so each budget's
+batched greedy rounds start from the memo the previous budget left — and
+collects the resulting ``(total bits, noise power)`` points into a Pareto
+front.
 
 Each front point can optionally be cross-validated against the
 Monte-Carlo reference; the validation runs through
@@ -32,7 +32,10 @@ from repro.data.signals import uniform_white_noise
 from repro.obs import span
 from repro.sfg.graph import SignalFlowGraph
 from repro.sfg.plan import compile_plan
-from repro.systems.wordlength import WordLengthOptimizer
+from repro.systems.wordlength import (
+    BudgetUnreachableError,
+    WordLengthOptimizer,
+)
 from repro.utils.tables import TextTable
 
 
@@ -55,11 +58,6 @@ class ParetoPoint:
     simulated_power:
         Monte-Carlo cross-validation of ``noise_power`` (``None`` unless
         the sweep was asked to validate).
-    full_walks, cone_recomputes:
-        Work split of the evaluations (see
-        :class:`~repro.systems.wordlength.WordLengthResult`): budgets
-        after the first reuse the sweep-wide noise memo, so later points
-        are served almost entirely by cone recomputes.
     """
 
     budget: float
@@ -68,8 +66,6 @@ class ParetoPoint:
     assignment: dict = field(hash=False)
     evaluations: int
     simulated_power: float | None = None
-    full_walks: int = 0
-    cone_recomputes: int = 0
 
     @property
     def ed(self) -> float | None:
@@ -110,16 +106,6 @@ class ParetoFront:
     def total_evaluations(self) -> int:
         """Analytical evaluations spent over the whole sweep."""
         return sum(point.evaluations for point in self.points)
-
-    @property
-    def total_full_walks(self) -> int:
-        """Whole-graph walks spent over the sweep (memo cold builds)."""
-        return sum(point.full_walks for point in self.points)
-
-    @property
-    def total_cone_recomputes(self) -> int:
-        """Evaluations served as dirty-cone deltas over the sweep."""
-        return sum(point.cone_recomputes for point in self.points)
 
     def describe(self) -> str:
         """Render the front as the text table printed by the CLI."""
@@ -182,8 +168,6 @@ def budget_range(loosest: float, tightest: float, count: int) -> np.ndarray:
 def sweep_noise_budgets(system: SignalFlowGraph, budgets,
                         method: str = "psd", n_psd: int = 256,
                         min_bits: int = 4, max_bits: int = 24,
-                        batch: bool | None = None,
-                        mode: str | None = None,
                         granularity: str = "node",
                         validate_samples: int = 0,
                         seed: int = 0) -> ParetoFront:
@@ -200,12 +184,12 @@ def sweep_noise_budgets(system: SignalFlowGraph, budgets,
         nowhere — the front only holds feasible points).  An empty budget
         sequence yields a well-formed empty front; duplicate budgets are
         collapsed.
-    method, n_psd, min_bits, max_bits, batch, mode, granularity:
+    method, n_psd, min_bits, max_bits, granularity:
         Forwarded to :class:`WordLengthOptimizer`; one optimizer (hence
-        one compiled plan, one response cache and — in the default
-        incremental mode — one noise memo) serves every budget: each
-        point after the first starts from the previous optimum's memo
-        and pays only dirty-cone deltas.
+        one compiled plan, one response cache and one noise memo) serves
+        every budget, so each point after the first starts from the memo
+        the previous budget left.  Invalid settings (e.g. ``n_psd < 2``)
+        raise instead of ending the sweep.
     validate_samples:
         When positive, cross-validate every swept point by a Monte-Carlo
         run of that many samples (batched, reference runs shared).
@@ -232,14 +216,13 @@ def sweep_noise_budgets(system: SignalFlowGraph, budgets,
         return ParetoFront(system=system.name, method=method)
     optimizer = WordLengthOptimizer(system, method=method, n_psd=n_psd,
                                     min_bits=min_bits, max_bits=max_bits,
-                                    batch=batch, mode=mode,
                                     granularity=granularity)
     front = ParetoFront(system=system.name, method=method)
     for budget in budgets:
         try:
             with span("pareto.budget", budget=budget, system=system.name):
                 result = optimizer.optimize(budget)
-        except ValueError:
+        except BudgetUnreachableError:
             # Budget unreachable even at max_bits: tighter ones are too.
             break
         front.points.append(ParetoPoint(
@@ -248,8 +231,6 @@ def sweep_noise_budgets(system: SignalFlowGraph, budgets,
             noise_power=result.noise_power,
             assignment=dict(result.assignment),
             evaluations=result.evaluations,
-            full_walks=result.full_walks,
-            cone_recomputes=result.cone_recomputes,
         ))
 
     if validate_samples > 0 and front.points:
@@ -270,8 +251,6 @@ def sweep_noise_budgets(system: SignalFlowGraph, budgets,
                 assignment=point.assignment,
                 evaluations=point.evaluations,
                 simulated_power=measurement.error_power,
-                full_walks=point.full_walks,
-                cone_recomputes=point.cone_recomputes,
             )
             for point, measurement in zip(front.points, measurements)]
     return front

@@ -22,19 +22,15 @@ The optimizer compiles the graph into a
 :class:`~repro.sfg.plan.CompiledPlan` once and re-quantizes it in place
 across search iterations, so the topological schedule and the memoized
 per-node frequency responses are shared by the (typically hundreds of)
-candidate evaluations.  Three evaluation modes cover the cost/diagnosis
-trade-offs, all bit-identical in their results:
-
-* ``incremental`` (default) — each greedy candidate is a single-node
-  delta against the incumbent :class:`~repro.analysis._engine.NoiseMemo`:
-  the plan marks the edited node dirty and the evaluator re-walks only
-  its downstream cone, O(depth) instead of O(nodes) per candidate.
-* ``batch`` — every round's single-bit-decrement candidates run as one
-  configuration-batched pass (``evaluate_*_batch``), the amortized
-  cross-check of the incremental path.
-* ``sequential`` — one *cold* full walk per candidate (the memo is
-  disabled), the honest O(nodes) baseline the speed-up benchmarks
-  measure against.
+candidate evaluations.  Every greedy round's single-bit-decrement
+candidates run as one configuration-batched pass
+(``evaluate_*_batch``) over the plan's
+:class:`~repro.analysis._engine.NoiseMemo`; the uniform binary search
+pulls its few points from the same memo, so consecutive searches on one
+optimizer re-walk only the dirty downstream cones.  The cold
+per-candidate walk (one requantize and one evaluation per candidate
+under :func:`~repro.analysis._engine.memoization_disabled`) is the test
+oracle the batched rounds are checked against, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis._engine import memoization_disabled, plan_memo
 from repro.analysis.agnostic_method import (
     evaluate_agnostic,
     evaluate_agnostic_batch,
@@ -58,8 +53,11 @@ from repro.sfg.nodes import OutputNode
 from repro.sfg.plan import compile_plan
 
 _METHODS = ("psd", "flat", "agnostic")
-_MODES = ("incremental", "batch", "sequential")
 _GRANULARITIES = ("node", "edge")
+
+
+class BudgetUnreachableError(ValueError):
+    """The noise budget is not met even at ``max_bits`` everywhere."""
 
 
 @dataclass
@@ -92,18 +90,10 @@ class WordLengthResult:
     history:
         Sequence of ``(assignment cost, noise power)`` pairs recorded
         after every accepted move.
-    full_walks:
-        How many of the evaluations re-walked the whole graph: cold
-        memo builds in ``incremental``/``batch`` mode, every evaluation
-        in ``sequential`` mode.  Together with ``cone_recomputes`` this
-        makes the work actually saved by incremental re-evaluation
-        reportable, instead of hiding delta evaluations and full walks
-        behind one number.
-    cone_recomputes:
-        How many evaluations were served as dirty-cone deltas against
-        the incumbent :class:`~repro.analysis._engine.NoiseMemo`
-        (always 0 in ``sequential`` mode; ``flat``-method savings show
-        up as path-function cache hits instead of cone recomputes).
+
+    The memo work behind the evaluations (whole-graph walks vs
+    dirty-cone recomputes) is reported by
+    ``plan_memo(plan).counters()`` and the ``memo.*`` metrics.
     """
 
     assignment: dict[str, int]
@@ -112,8 +102,6 @@ class WordLengthResult:
     total_bits: int
     evaluations: int
     history: list = field(default_factory=list)
-    full_walks: int = 0
-    cone_recomputes: int = 0
 
 
 class WordLengthOptimizer:
@@ -132,18 +120,6 @@ class WordLengthOptimizer:
         PSD bins for the PSD-based evaluator.
     min_bits, max_bits:
         Search range for every node's fractional word length.
-    mode:
-        Candidate-evaluation strategy: ``"incremental"`` (default —
-        per-candidate dirty-cone deltas against the plan's noise memo),
-        ``"batch"`` (one configuration-batched pass per greedy round) or
-        ``"sequential"`` (one cold full walk per candidate, memoization
-        disabled).  All three return bit-identical assignments; the
-        non-default modes exist as the cross-check and the honest
-        timing baseline.
-    batch:
-        Back-compat alias: ``batch=True`` means ``mode="batch"``,
-        ``batch=False`` means ``mode="sequential"``.  Leave both unset
-        for the incremental default.
     granularity:
         ``"node"`` (default) tunes one fractional width per quantized
         node — the classical search.  ``"edge"`` additionally tunes a
@@ -157,7 +133,6 @@ class WordLengthOptimizer:
 
     def __init__(self, graph: SignalFlowGraph, method: str = "psd",
                  n_psd: int = 256, min_bits: int = 4, max_bits: int = 24,
-                 batch: bool | None = None, mode: str | None = None,
                  granularity: str = "node"):
         if min_bits < 1 or max_bits < min_bits:
             raise ValueError(
@@ -165,17 +140,6 @@ class WordLengthOptimizer:
         if method not in _METHODS:
             raise ValueError(
                 f"unknown method {method!r}; expected one of {_METHODS}")
-        if mode is None:
-            mode = ("incremental" if batch is None
-                    else "batch" if batch else "sequential")
-        elif mode not in _MODES:
-            raise ValueError(
-                f"unknown mode {mode!r}; expected one of {_MODES}")
-        elif batch is not None and mode != ("batch" if batch
-                                            else "sequential"):
-            raise ValueError(
-                f"conflicting batch={batch!r} and mode={mode!r}; pass "
-                "only mode (batch is the legacy alias)")
         if granularity not in _GRANULARITIES:
             raise ValueError(
                 f"unknown granularity {granularity!r}; expected one of "
@@ -185,8 +149,6 @@ class WordLengthOptimizer:
         self.n_psd = n_psd
         self.min_bits = min_bits
         self.max_bits = max_bits
-        self.mode = mode
-        self.batch = mode == "batch"
         self.granularity = granularity
         self._evaluations = 0
         # The graph is compiled once; the search re-quantizes the plan in
@@ -226,43 +188,26 @@ class WordLengthOptimizer:
         self._plan.requantize(assignment)
 
     def _noise_power(self, assignment: dict[str, int]) -> float:
-        """Evaluate one assignment (requantizes the plan in place).
+        """Evaluate one uniform-search point (requantizes the plan).
 
-        In ``sequential`` mode the per-plan noise memo is disabled for
-        the evaluation, so every candidate costs one cold full walk —
-        the honest O(nodes) baseline.  The other modes pull from the
-        memo: a one-node candidate edit recomputes only its dirty
-        downstream cone.
+        The evaluation pulls from the plan's noise memo, so a point
+        differing from the previous one re-walks only the dirty cone.
         """
         self._apply(assignment)
         self._evaluations += 1
-        metric_inc("optimizer.evaluations", mode=self.mode)
-        with span("optimizer.candidate", mode=self.mode):
-            if self.mode == "sequential":
-                with memoization_disabled():
-                    return self._evaluate_current()
-            return self._evaluate_current()
-
-    def _evaluate_current(self) -> float:
-        if self.method == "psd":
-            return evaluate_psd(self._plan, self.n_psd).total_power
-        if self.method == "flat":
-            return evaluate_flat(self._plan).power
-        return evaluate_agnostic(self._plan).power
+        metric_inc("optimizer.evaluations")
+        with span("optimizer.candidate"):
+            if self.method == "psd":
+                return evaluate_psd(self._plan, self.n_psd).total_power
+            if self.method == "flat":
+                return evaluate_flat(self._plan).power
+            return evaluate_agnostic(self._plan).power
 
     def _noise_powers(self, candidates: list[dict]) -> np.ndarray:
-        """Evaluate a whole candidate round (strategy per ``mode``)."""
-        with span("optimizer.round", mode=self.mode,
-                  candidates=len(candidates)):
-            if self.mode != "batch":
-                # incremental: each candidate is a single-node delta
-                # against the incumbent memo; sequential: one cold walk
-                # each.
-                return np.array([self._noise_power(candidate)
-                                 for candidate in candidates])
+        """Evaluate a greedy round as one configuration-batched pass."""
+        with span("optimizer.round", candidates=len(candidates)):
             self._evaluations += len(candidates)
-            metric_inc("optimizer.evaluations", len(candidates),
-                       mode=self.mode)
+            metric_inc("optimizer.evaluations", len(candidates))
             if self.method == "psd":
                 result = evaluate_psd_batch(self._plan, self.n_psd,
                                             candidates)
@@ -318,7 +263,7 @@ class WordLengthOptimizer:
             powers[high] = self._noise_power({n: high
                                               for n in self._tunable})
             if powers[high] > budget:
-                raise ValueError(
+                raise BudgetUnreachableError(
                     f"the budget {budget:.3e} cannot be met even with "
                     f"{high} fractional bits everywhere")
             while low < high:
@@ -333,15 +278,11 @@ class WordLengthOptimizer:
 
     def optimize(self, budget: float) -> WordLengthResult:
         """Run the full greedy refinement under a noise-power budget."""
-        with span("optimizer.optimize", budget=budget, mode=self.mode,
-                  method=self.method):
+        with span("optimizer.optimize", budget=budget, method=self.method):
             return self._optimize(budget)
 
     def _optimize(self, budget: float) -> WordLengthResult:
         self._evaluations = 0
-        memo = (plan_memo(self._plan) if self.mode != "sequential"
-                else None)
-        counters_before = memo.counters() if memo is not None else None
         assignment, current_power = self._uniform_search(budget)
         history = [(self.assignment_cost(assignment), current_power)]
 
@@ -391,17 +332,6 @@ class WordLengthOptimizer:
         # the assignment (or from the uniform search) — re-quantize the
         # plan to the winner without paying another evaluation.
         self._apply(assignment)
-        if memo is not None:
-            counters = memo.counters()
-            full_walks = (counters["full_walks"]
-                          - counters_before["full_walks"])
-            cone_recomputes = (counters["cone_recomputes"]
-                               - counters_before["cone_recomputes"])
-        else:
-            # Sequential mode walks the whole graph once per evaluation
-            # by construction.
-            full_walks = self._evaluations
-            cone_recomputes = 0
         return WordLengthResult(
             assignment=dict(assignment),
             noise_power=current_power,
@@ -409,6 +339,4 @@ class WordLengthOptimizer:
             total_bits=self.assignment_cost(assignment),
             evaluations=self._evaluations,
             history=history,
-            full_walks=full_walks,
-            cone_recomputes=cone_recomputes,
         )

@@ -239,6 +239,31 @@ class TestErrorPaths:
         assert code == 1
         assert "--seed" in capsys.readouterr().err
 
+    def test_sweep_invalid_n_psd_is_not_reported_as_unreachable(
+            self, capsys, system_path):
+        code = main(["sweep", system_path, "--budgets", "1e-5",
+                     "--n-psd", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == ["error: n_psd must be at least 2, got 0"]
+
+    @pytest.mark.parametrize("count, message", [
+        ("2.5", "budget count must be an integer, got 2.5"),
+        ("inf", "budget count must be an integer, got inf"),
+        ("-2", "budget count must be non-negative, got -2")])
+    def test_sweep_rejects_bad_budget_count(self, capsys, system_path,
+                                            count, message):
+        code = main(["sweep", system_path, "--budget-range", "1e-3", "1e-5",
+                     count])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_sweep_has_no_sequential_flag(self, capsys, system_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", system_path, "--budgets", "1e-5", "--sequential"])
+        assert exit_info.value.code == 2
+        assert "--sequential" in capsys.readouterr().err
+
     def test_fuzz_artifact_round_trip_on_forced_failure(self, capsys,
                                                         tmp_path,
                                                         monkeypatch):

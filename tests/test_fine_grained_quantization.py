@@ -264,17 +264,19 @@ class TestEdgeGranularitySearch:
         assert edge_result.noise_power <= budget
         assert any("->" in key for key in edge_result.assignment)
 
-    def test_three_modes_identical_at_edge_granularity(self):
+    def test_edge_search_identical_to_cold_oracle(self):
         probe = build_scalability_bank(branches=4, taps=9)
         budget = float(evaluate_psd(probe, 128).total_power) * 16.0
-        results = [
-            WordLengthOptimizer(build_scalability_bank(branches=4, taps=9),
-                                n_psd=128, granularity="edge",
-                                mode=mode).optimize(budget)
-            for mode in ("incremental", "batch", "sequential")]
-        for other in results[1:]:
-            assert other.assignment == results[0].assignment
-            assert other.noise_power == results[0].noise_power
+        result = WordLengthOptimizer(
+            build_scalability_bank(branches=4, taps=9), n_psd=128,
+            granularity="edge").optimize(budget)
+        with memoization_disabled():
+            cold = WordLengthOptimizer(
+                build_scalability_bank(branches=4, taps=9), n_psd=128,
+                granularity="edge").optimize(budget)
+        assert result.assignment == cold.assignment
+        assert result.noise_power == cold.noise_power
+        assert result.evaluations == cold.evaluations
 
     def test_node_granularity_has_no_edge_tunables(self):
         optimizer = WordLengthOptimizer(_fork_graph(), n_psd=64)

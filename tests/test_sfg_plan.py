@@ -231,3 +231,22 @@ class TestExecution:
             lambda self, inputs: original(self, inputs)[:-1])
         with pytest.raises(ValueError, match="different shapes"):
             executor.run_error({"x": rng.uniform(-0.9, 0.9, 64)})
+
+    def test_plan_never_imports_the_executor(self, rng):
+        # The plan produces ExecutionResult itself; the executor builds on
+        # the plan, never the other way round.
+        import ast
+        import inspect
+
+        import repro.sfg.plan as plan_module
+        from repro.sfg import ExecutionResult
+        from repro.sfg import executor as executor_module
+
+        tree = ast.parse(inspect.getsource(plan_module))
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        assert "repro.sfg.executor" not in imported
+        assert ExecutionResult is plan_module.ExecutionResult
+        assert executor_module.ExecutionResult is plan_module.ExecutionResult
+        result = compile_plan(_graph()).run({"x": rng.uniform(-1, 1, 16)})
+        assert isinstance(result, ExecutionResult)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis._engine import memoization_disabled
 from repro.analysis.psd_method import evaluate_psd
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
@@ -12,6 +13,7 @@ from repro.systems.pareto import (
     budget_range,
     sweep_noise_budgets,
 )
+from repro.systems import BudgetUnreachableError, WordLengthOptimizer
 
 
 def _graph(bits=12):
@@ -91,16 +93,32 @@ class TestSweep:
         assert len(front.points) == 1
         assert front.points[0].budget == 1e-5
 
-    def test_batched_and_sequential_fronts_identical(self):
+    def test_front_identical_to_cold_oracle(self):
+        # Every point equals a fresh optimizer's search at that budget
+        # with the noise memo disabled: the sweep-wide memo and the
+        # batched rounds change the amount of work, never the front.
         budgets = budget_range(1e-5, 1e-8, 3)
-        batched = sweep_noise_budgets(_graph(), budgets, n_psd=128,
-                                      batch=True)
-        sequential = sweep_noise_budgets(_graph(), budgets, n_psd=128,
-                                         batch=False)
-        for a, b in zip(batched.points, sequential.points):
-            assert a.assignment == b.assignment
-            assert a.noise_power == b.noise_power
-            assert a.evaluations == b.evaluations
+        front = sweep_noise_budgets(_graph(), budgets, n_psd=128)
+        assert len(front.points) == len(budgets)
+        for point in front.points:
+            with memoization_disabled():
+                cold = WordLengthOptimizer(_graph(), n_psd=128).optimize(
+                    point.budget)
+            assert point.assignment == cold.assignment
+            assert point.noise_power == cold.noise_power
+            assert point.evaluations == cold.evaluations
+
+    def test_invalid_settings_raise_instead_of_ending_the_sweep(self):
+        # Regression: every ValueError from the optimizer used to end
+        # the sweep as "unreachable", so n_psd=0 gave an empty front.
+        with pytest.raises(ValueError, match="n_psd"):
+            sweep_noise_budgets(_graph(), [1e-5], n_psd=0)
+
+    def test_unreachable_budget_error_is_a_value_error(self):
+        optimizer = WordLengthOptimizer(_graph(), n_psd=64, max_bits=8)
+        with pytest.raises(BudgetUnreachableError):
+            optimizer.optimize(1e-30)
+        assert issubclass(BudgetUnreachableError, ValueError)
 
     def test_validation_attaches_simulated_powers(self):
         front = sweep_noise_budgets(_graph(), [1e-5, 1e-7], n_psd=256,

@@ -1,11 +1,16 @@
 """Unit tests for the word-length optimization use-case."""
 
+import numpy as np
 import pytest
 
 import repro.systems.wordlength as wordlength_module
+from repro.analysis._engine import memoization_disabled
+from repro.analysis.agnostic_method import evaluate_agnostic
+from repro.analysis.flat_method import evaluate_flat
 from repro.analysis.psd_method import evaluate_psd
 from repro.lti.fir_design import design_fir_highpass, design_fir_lowpass
 from repro.sfg.builder import SfgBuilder
+from repro.sfg.plan import compile_plan
 from repro.systems.filter_bank import build_filter_graph, generate_fir_bank, generate_iir_bank
 from repro.systems.wordlength import WordLengthOptimizer
 
@@ -107,92 +112,77 @@ class TestGreedyOptimization:
         with pytest.raises(ValueError):
             WordLengthOptimizer(_two_stage_graph(), method="psychic")
 
+    @pytest.mark.parametrize("option", [{"mode": "batch"}, {"batch": True}])
+    def test_candidate_strategy_is_not_an_option(self, option):
+        # Batched rounds are the only strategy; the old selectors are
+        # gone rather than silently ignored.
+        with pytest.raises(TypeError):
+            WordLengthOptimizer(_two_stage_graph(), **option)
+
+
+def _cold_oracle(graph, budget, **options):
+    """The same greedy search with every candidate walked cold, one by one.
+
+    Each candidate is requantized into the plan and evaluated by a scalar
+    walk with the noise memo disabled, instead of by the batched round.
+    """
+    optimizer = WordLengthOptimizer(graph, **options)
+    optimizer._noise_powers = lambda candidates: np.array(
+        [optimizer._noise_power(candidate) for candidate in candidates])
+    with memoization_disabled():
+        return optimizer.optimize(budget)
+
+
+def _cold_power(graph, method, assignment, n_psd):
+    """Scalar evaluation of ``assignment`` on a freshly compiled plan."""
+    plan = compile_plan(graph)
+    plan.requantize(assignment)
+    with memoization_disabled():
+        if method == "psd":
+            return evaluate_psd(plan, n_psd).total_power
+        if method == "flat":
+            return evaluate_flat(plan).power
+        return evaluate_agnostic(plan).power
+
 
 class TestBatchedGreedyEquivalence:
-    """Batched rounds must be bit-identical to the sequential baseline."""
+    """Batched rounds are bit-identical to the cold per-candidate search."""
+
+    @staticmethod
+    def _assert_matches_oracle(build, method, budget, granularity):
+        options = dict(method=method, n_psd=128, granularity=granularity)
+        result = WordLengthOptimizer(build(), **options).optimize(budget)
+        oracle = _cold_oracle(build(), budget, **options)
+        assert result.assignment == oracle.assignment
+        assert result.noise_power == oracle.noise_power
+        assert result.evaluations == oracle.evaluations
+        assert result.history == oracle.history
+        assert result.noise_power == _cold_power(
+            build(), method, result.assignment, 128)
 
     @pytest.mark.parametrize("method", ["psd", "flat", "agnostic"])
     def test_identical_on_cascade(self, method):
-        budget = 1e-6
-        batched = WordLengthOptimizer(_two_stage_graph(), method=method,
-                                      n_psd=128, batch=True).optimize(budget)
-        sequential = WordLengthOptimizer(_two_stage_graph(), method=method,
-                                         n_psd=128,
-                                         batch=False).optimize(budget)
-        assert batched.assignment == sequential.assignment
-        assert batched.noise_power == sequential.noise_power
-        assert batched.evaluations == sequential.evaluations
-        assert batched.history == sequential.history
+        self._assert_matches_oracle(_two_stage_graph, method, 1e-6, "node")
+
+    @pytest.mark.parametrize("method", ["psd", "flat", "agnostic"])
+    def test_identical_on_cascade_at_edge_granularity(self, method):
+        self._assert_matches_oracle(_two_stage_graph, method, 1e-6, "edge")
 
     def test_identical_on_table1_filter_bank(self):
         # The Table-I graphs tie coefficient precision to the data path,
         # so the batched rounds exercise per-config frequency responses.
-        entries = generate_fir_bank(2) + generate_iir_bank(2)
-        for entry in entries:
-            budget = 1e-7
-            batched = WordLengthOptimizer(
-                build_filter_graph(entry, 16), n_psd=128,
-                batch=True).optimize(budget)
-            sequential = WordLengthOptimizer(
-                build_filter_graph(entry, 16), n_psd=128,
-                batch=False).optimize(budget)
-            assert batched.assignment == sequential.assignment, entry.name
-            assert batched.noise_power == sequential.noise_power, entry.name
-            assert batched.history == sequential.history, entry.name
-
-
-class TestIncrementalMode:
-    """The default incremental mode: bit-identical, with work accounting."""
-
-    @pytest.mark.parametrize("method", ["psd", "flat", "agnostic"])
-    def test_incremental_identical_to_sequential(self, method):
-        budget = 1e-6
-        incremental = WordLengthOptimizer(
-            _two_stage_graph(), method=method, n_psd=128).optimize(budget)
-        sequential = WordLengthOptimizer(
-            _two_stage_graph(), method=method, n_psd=128,
-            mode="sequential").optimize(budget)
-        assert incremental.assignment == sequential.assignment
-        assert incremental.noise_power == sequential.noise_power
-        assert incremental.evaluations == sequential.evaluations
-        assert incremental.history == sequential.history
-
-    def test_mode_resolution_and_alias(self):
-        assert WordLengthOptimizer(_two_stage_graph()).mode == "incremental"
-        assert WordLengthOptimizer(_two_stage_graph(),
-                                   batch=True).mode == "batch"
-        assert WordLengthOptimizer(_two_stage_graph(),
-                                   batch=False).mode == "sequential"
-        assert WordLengthOptimizer(_two_stage_graph(), batch=True,
-                                   mode="batch").mode == "batch"
-
-    def test_unknown_and_conflicting_modes_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            WordLengthOptimizer(_two_stage_graph(), mode="psychic")
-        with pytest.raises(ValueError, match="conflicting"):
-            WordLengthOptimizer(_two_stage_graph(), batch=True,
-                                mode="sequential")
-
-    def test_work_split_counters(self):
-        budget = 1e-6
-        incremental = WordLengthOptimizer(_two_stage_graph(),
-                                          n_psd=128).optimize(budget)
-        sequential = WordLengthOptimizer(_two_stage_graph(), n_psd=128,
-                                         mode="sequential").optimize(budget)
-        # Incremental: one cold memo build, then dirty-cone deltas.
-        assert incremental.cone_recomputes > 0
-        assert (incremental.full_walks + incremental.cone_recomputes
-                == incremental.evaluations)
-        assert incremental.full_walks < incremental.evaluations
-        # Sequential: every evaluation is a cold full walk by definition.
-        assert sequential.full_walks == sequential.evaluations
-        assert sequential.cone_recomputes == 0
+        for entry in generate_fir_bank(2) + generate_iir_bank(2):
+            for method in ("psd", "flat", "agnostic"):
+                for granularity in ("node", "edge"):
+                    self._assert_matches_oracle(
+                        lambda: build_filter_graph(entry, 16), method, 1e-7,
+                        granularity)
 
 
 class TestEvaluationAccounting:
     """`evaluations` must count distinct candidate evaluations exactly."""
 
-    def _counting_optimizer(self, monkeypatch, batch):
+    def _counting_optimizer(self, monkeypatch):
         counter = {"evaluations": 0}
         real_scalar = wordlength_module.evaluate_psd
         real_batch = wordlength_module.evaluate_psd_batch
@@ -210,21 +200,19 @@ class TestEvaluationAccounting:
         monkeypatch.setattr(wordlength_module, "evaluate_psd_batch",
                             counting_batch)
         optimizer = WordLengthOptimizer(_two_stage_graph(), method="psd",
-                                        n_psd=128, batch=batch)
+                                        n_psd=128)
         return optimizer, counter
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_reported_count_matches_actual_calls(self, monkeypatch, batch):
-        optimizer, counter = self._counting_optimizer(monkeypatch, batch)
+    def test_reported_count_matches_actual_calls(self, monkeypatch):
+        optimizer, counter = self._counting_optimizer(monkeypatch)
         result = optimizer.optimize(1e-7)
         assert result.evaluations == counter["evaluations"]
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_no_reevaluation_of_known_powers(self, monkeypatch, batch):
+    def test_no_reevaluation_of_known_powers(self, monkeypatch):
         # history[0] comes from the binary search and the final power from
         # the accepting round: the count is exactly the uniform-search
         # evaluations plus one per greedy candidate, nothing on top.
-        optimizer, counter = self._counting_optimizer(monkeypatch, batch)
+        optimizer, counter = self._counting_optimizer(monkeypatch)
         result = optimizer.optimize(1e-7)
         # Every accepted move comes from one full candidate round, plus one
         # final round that accepted nothing; on this graph no node reaches
